@@ -194,7 +194,7 @@ pub fn alternating_inputs(n: usize) -> Vec<u8> {
     (0..n).map(|p| (p % 2) as u8).collect()
 }
 
-const ENTRIES: &[ProtocolEntry] = &[
+static ENTRIES: &[ProtocolEntry] = &[
     ProtocolEntry {
         name: "cas",
         objects: "1 compare&swap register",

@@ -65,6 +65,12 @@ use crate::protocol::Decision;
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 8] = b"RSYNCKPT";
+/// Header bytes before the payload: magic, version, length, checksum.
+const HEADER_BYTES: usize = 28;
+/// Payload bytes of one parent record: index, pid, coin.
+const PARENT_RECORD_BYTES: usize = 12;
+/// Payload bytes of one successor edge (and of one degree field).
+const EDGE_BYTES: usize = 4;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug, Clone)]
@@ -125,7 +131,7 @@ impl Checkpoint {
     /// then renamed).
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let payload = self.encode();
-        let mut out = Vec::with_capacity(payload.len() + 28);
+        let mut out = Vec::with_capacity(payload.len() + HEADER_BYTES);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&CHECKPOINT_SCHEMA_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -139,7 +145,7 @@ impl Checkpoint {
     /// Load and validate a checkpoint from `path`.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let bytes = fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        if bytes.len() < 28 || &bytes[..8] != MAGIC {
+        if bytes.len() < HEADER_BYTES || &bytes[..8] != MAGIC {
             return Err(CheckpointError::Corrupt("bad magic".into()));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
@@ -148,9 +154,13 @@ impl Checkpoint {
                 "version {version}, expected {CHECKPOINT_SCHEMA_VERSION}"
             )));
         }
-        let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
         let sum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let payload = bytes.get(28..28 + len).ok_or_else(|| {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| HEADER_BYTES.checked_add(len))
+            .ok_or_else(|| CheckpointError::Corrupt(format!("payload length {len} overflows")))?;
+        let payload = bytes.get(HEADER_BYTES..end).ok_or_else(|| {
             CheckpointError::Corrupt("payload shorter than header claims".into())
         })?;
         if fnv1a(payload) != sum {
@@ -188,6 +198,9 @@ impl Checkpoint {
         b
     }
 
+    /// Parse a checksummed payload. Counts read from the payload only
+    /// size allocations up to what the bytes left could hold, so a
+    /// lying count fails as truncation instead of allocating for it.
     fn decode(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
         let mut r = Cursor { b: payload, at: 0 };
         let protocol = String::from_utf8(r.bytes()?.to_vec())
@@ -200,8 +213,10 @@ impl Checkpoint {
         let n_procs = r.u32()?;
         let n_values = r.u32()?;
         let level_depth = r.u64()?;
-        let nodes = r.u64()? as usize;
-        let mut parent: Vec<Option<(u32, Step)>> = Vec::with_capacity(nodes);
+        let nodes = usize::try_from(r.u64()?)
+            .map_err(|_| CheckpointError::Corrupt("node count overflows".into()))?;
+        let mut parent: Vec<Option<(u32, Step)>> =
+            Vec::with_capacity(nodes.min(r.remaining() / PARENT_RECORD_BYTES + 1));
         if nodes > 0 {
             parent.push(None);
         }
@@ -218,10 +233,10 @@ impl Checkpoint {
         }
         let mut succ = Vec::new();
         if record_edges {
-            succ.reserve(nodes);
+            succ.reserve(nodes.min(r.remaining() / EDGE_BYTES));
             for _ in 0..nodes {
                 let deg = r.u32()? as usize;
-                let mut outs = Vec::with_capacity(deg);
+                let mut outs = Vec::with_capacity(deg.min(r.remaining() / EDGE_BYTES));
                 for _ in 0..deg {
                     let j = r.u32()?;
                     if j as usize >= nodes {
@@ -269,10 +284,14 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.b.len() - self.at
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let s = self
             .b
-            .get(self.at..self.at + n)
+            .get(self.at..self.at.saturating_add(n))
             .ok_or_else(|| CheckpointError::Corrupt("payload truncated".into()))?;
         self.at += n;
         Ok(s)
@@ -366,6 +385,71 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A header over `payload` with a valid checksum.
+    fn framed(payload: &[u8], len: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&CHECKPOINT_SCHEMA_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// The 60-byte payload that used to make `load` panic with
+    /// "capacity overflow": well-formed identity fields, then a node
+    /// count of 2^62 with no parent records behind it.
+    fn crafted_payload(record_edges: bool) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_bytes(&mut b, b"walk-counter");
+        b.extend_from_slice(&3u32.to_le_bytes());
+        b.extend_from_slice(&4u64.to_le_bytes());
+        put_bytes(&mut b, &[0, 1]);
+        b.push(1);
+        b.push(record_edges as u8);
+        b.extend_from_slice(&3u32.to_le_bytes());
+        b.extend_from_slice(&2u32.to_le_bytes());
+        b.extend_from_slice(&5u64.to_le_bytes());
+        b.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        b
+    }
+
+    fn load_bytes(name: &str, bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let out = Checkpoint::load(&path);
+        let _ = std::fs::remove_file(&path);
+        out
+    }
+
+    #[test]
+    fn crafted_node_count_is_corrupt_not_a_panic() {
+        let payload = crafted_payload(false);
+        assert_eq!(payload.len(), 60);
+        let bytes = framed(&payload, payload.len() as u64);
+        assert!(matches!(load_bytes("crafted", &bytes), Err(CheckpointError::Corrupt(_))));
+    }
+
+    #[test]
+    fn crafted_degree_is_corrupt_not_a_panic() {
+        // One node, no parent records, then a successor list claiming
+        // u32::MAX edges with none behind it.
+        let mut payload = crafted_payload(true);
+        let at = payload.len() - 8;
+        payload[at..].copy_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let bytes = framed(&payload, payload.len() as u64);
+        assert!(matches!(load_bytes("degree", &bytes), Err(CheckpointError::Corrupt(_))));
+    }
+
+    #[test]
+    fn overflowing_payload_length_is_corrupt_not_a_panic() {
+        let payload = crafted_payload(false);
+        for len in [u64::MAX, u64::MAX - 27, u64::MAX / 2] {
+            let bytes = framed(&payload, len);
+            assert!(matches!(load_bytes("length", &bytes), Err(CheckpointError::Corrupt(_))));
+        }
     }
 
     #[test]

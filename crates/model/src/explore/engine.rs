@@ -26,15 +26,25 @@
 //!    word-slice equality against the arena. When
 //!    [`ExploreConfig::mem_budget_bytes`] is set, the out-of-core tier
 //!    ([`super::spill::ExternalDedup`]) replaces it: per level, the
-//!    candidate keys are sorted and merged against an on-disk seen-set
-//!    of sorted runs with sequential I/O only. Both tiers compare full
-//!    words, so their dedup decisions — and hence every result — are
-//!    identical.
+//!    candidate keys are sorted and probed in one batch against an
+//!    on-disk seen-set of sorted runs, each with a resident fence index
+//!    and Bloom filter, so a probe reads only the blocks that can hold
+//!    a key. Both tiers compare full words, so their dedup decisions —
+//!    and hence every result — are identical.
 //! 4. **Deterministic parallelism.** Each BFS level is processed in two
 //!    phases. Phase 1 expands the frontier — in parallel chunks under
 //!    [`std::thread::scope`] when the frontier is large enough — with
 //!    *read-only* access to the arena and seen-maps, producing
-//!    candidate successors. Phase 2 merges the candidates sequentially,
+//!    candidate successors. On the batch tiers (out-of-core and
+//!    transport) workers also pack each candidate against the codec as
+//!    it stood at the level start — starting from the parent's row,
+//!    since a step changes at most one object — and hand the merge its
+//!    words and hash ([`SuccRef::Packed`]); the codec is append-only,
+//!    so those words stay exactly what the merge would have encoded,
+//!    and only candidates with a never-seen state travel as heap
+//!    clones. Each worker appends its packed rows to one buffer for its
+//!    whole chunk.
+//!    Phase 2 merges the candidates sequentially,
 //!    in frontier order, at the level barrier: it resolves duplicates
 //!    discovered concurrently within the level, interns new states into
 //!    the codec, assigns arena indices, and records edges. Because the
@@ -238,7 +248,8 @@ pub(super) struct BfsGraph<S> {
     pub(super) spill_mode: bool,
     /// Total bytes written to spill files (arena segments + dedup runs).
     pub(super) spilled_bytes: u64,
-    /// Sequential merge scans performed over on-disk dedup runs.
+    /// On-disk dedup runs read (see
+    /// [`ExploreOutcome::dedup_merge_passes`](super::ExploreOutcome::dedup_merge_passes)).
     pub(super) dedup_merge_passes: u64,
     /// Resident bytes of arena + dedup at the end of the search.
     pub(super) resident_bytes: usize,
@@ -281,8 +292,14 @@ impl<S> BfsGraph<S> {
 
 /// A candidate successor produced during frontier expansion.
 enum SuccRef<S> {
-    /// Already interned at this arena index when the expansion probed.
+    /// Already interned at this arena index when the expansion probed
+    /// (in-RAM tier only).
     Seen(u32),
+    /// Packed against the frozen codec (batch tiers only): the hash of
+    /// the words, which are the next `stride` words of the expanding
+    /// worker's packed buffer. The codec is append-only, so these are
+    /// exactly the words the merge would encode.
+    Packed(u64),
     /// Not interned at expansion time; carries the (single) clone made
     /// once novelty was likely — already canonicalized in canonical
     /// mode. The merge re-encodes it against the grown codec.
@@ -290,25 +307,47 @@ enum SuccRef<S> {
 }
 
 /// Classify one candidate configuration (already canonical if the mode
-/// asks for it): pack it against the frozen codec, probe the seen-maps,
-/// and clone only if it looks novel. This is the hash-first /
-/// clone-on-insert discipline — known configurations cost an encode, a
-/// hash, and a probe, never an allocation. A candidate that fails to
-/// pack contains a never-interned state, so it cannot be a duplicate of
-/// anything interned. In spill mode there are no probeable seen-maps
-/// (`seen` is `None`): every candidate is cloned and the level merge
-/// resolves it against the external seen-set.
+/// asks for it) by packing it against the frozen codec.
+///
+/// On the in-RAM tier (`seen` is `Some`) the packed words are probed
+/// in the seen-maps and the candidate is cloned only if it looks novel.
+/// This is the hash-first / clone-on-insert discipline — known
+/// configurations cost an encode, a hash, and a probe, never an
+/// allocation.
+///
+/// On the batch tiers (`seen` is `None`) there are no probeable maps;
+/// the words and their hash are handed to the level merge as
+/// [`SuccRef::Packed`], with the words appended to `packed`, so the
+/// merge neither clones nor re-encodes the candidate. Packing starts
+/// from the parent's words (`parent`), since a step changes at most
+/// the one object `changed`.
+///
+/// Either way, a candidate that fails to pack contains a never-interned
+/// state, so it cannot be a duplicate of anything interned: it is
+/// cloned, and the merge interns its new states in frontier order.
+#[allow(clippy::too_many_arguments)]
 fn classify<S: Clone + Eq + Hash>(
     cand: &Configuration<S>,
     seen: Option<&SeenMaps>,
     arena: &PackedArena<S>,
+    parent: &[u32],
+    changed: Option<usize>,
     words: &mut Vec<u32>,
+    packed: &mut Vec<u32>,
 ) -> SuccRef<S> {
-    if let Some(seen) = seen {
-        if arena.try_encode(cand, words) {
-            let hash = hash_words(words);
-            if let Some(j) = seen.probe(hash, words, arena) {
-                return SuccRef::Seen(j);
+    match seen {
+        Some(seen) => {
+            if arena.try_encode(cand, words) {
+                let hash = hash_words(words);
+                if let Some(j) = seen.probe(hash, words, arena) {
+                    return SuccRef::Seen(j);
+                }
+            }
+        }
+        None => {
+            if arena.try_encode_successor(cand, parent, changed, words) {
+                packed.extend_from_slice(words);
+                return SuccRef::Packed(hash_words(words));
             }
         }
     }
@@ -325,11 +364,16 @@ struct NodeExpansion<S> {
     pruned: u32,
 }
 
-/// All one-step successors of `config`, classified against the current
-/// arena. Successors are enumerated in `(pid, coin)` order — the same
-/// order as [`super::successors`] — by mutating a single scratch clone
-/// in place and undoing each step, so a full configuration clone happens
-/// only for candidates that are not already interned.
+/// All one-step successors of `config` (packed as `parent`), classified
+/// against the current arena. Successors are enumerated in
+/// `(pid, coin)` order — the same order as [`super::successors`] — by
+/// mutating a single scratch clone in place and undoing each step, so a
+/// full configuration clone happens only for candidates that are not
+/// already interned. The words of
+/// [`SuccRef::Packed`] candidates are appended to `packed`, which the
+/// caller shares across all the nodes one worker expands: the merge,
+/// which runs on another thread, then frees one buffer per worker
+/// instead of one per node.
 ///
 /// With a [`PorContext`], the node may be reduced to a singleton ample
 /// set: only that process's steps are expanded (and the skipped moves
@@ -338,14 +382,17 @@ struct NodeExpansion<S> {
 /// process turns out to contribute no successors (a degenerate apply
 /// failure), the node falls back to full expansion — a reduced node
 /// must never look terminal when it is not.
+#[allow(clippy::too_many_arguments)]
 fn expand_node<P>(
     protocol: &P,
     specs: &[ObjectSpec],
     config: &Configuration<P::State>,
+    parent: &[u32],
     canon: &Canonicalizer,
     seen: Option<&SeenMaps>,
     arena: &PackedArena<P::State>,
     por: Option<&PorContext<P::State>>,
+    packed: &mut Vec<u32>,
 ) -> NodeExpansion<P::State>
 where
     P: Protocol,
@@ -362,7 +409,10 @@ where
     // packed words.
     let mut sorted = if canon.enabled() { Some(config.clone()) } else { None };
     let mut words: Vec<u32> = Vec::new();
-    let mut push = |step: Step, scratch: &Configuration<P::State>, out: &mut Vec<_>| {
+    let mut push = |step: Step,
+                    changed: Option<usize>,
+                    scratch: &Configuration<P::State>,
+                    out: &mut Vec<_>| {
         let cand: &Configuration<P::State> = match &mut sorted {
             Some(c) => {
                 c.procs.clone_from(&scratch.procs);
@@ -372,7 +422,7 @@ where
             }
             None => scratch,
         };
-        out.push((step, classify(cand, seen, arena, &mut words)));
+        out.push((step, classify(cand, seen, arena, parent, changed, &mut words, packed)));
     };
     for pid in config.active_processes() {
         if restrict.is_some_and(|p| p != pid) {
@@ -388,7 +438,7 @@ where
                     &mut scratch.procs[pid.0],
                     crate::config::ProcState::Decided(d),
                 );
-                push(Step::of(pid), &scratch, &mut out);
+                push(Step::of(pid), None, &scratch, &mut out);
                 scratch.procs[pid.0] = prev;
             }
             Action::Invoke { object, op } => {
@@ -403,7 +453,7 @@ where
                         &mut scratch.procs[pid.0],
                         crate::config::ProcState::Active(next_state),
                     );
-                    push(Step::with_coin(pid, coin), &scratch, &mut out);
+                    push(Step::with_coin(pid, coin), Some(object.0), &scratch, &mut out);
                     scratch.procs[pid.0] = prev_proc;
                 }
                 scratch.values[object.0] = prev_value;
@@ -411,8 +461,9 @@ where
         }
     }
     if restrict.is_some() && out.is_empty() && pruned > 0 {
-        // The ample process contributed nothing; expand in full.
-        return expand_node(protocol, specs, config, canon, seen, arena, None);
+        // The ample process contributed nothing (so packed nothing);
+        // expand in full.
+        return expand_node(protocol, specs, config, parent, canon, seen, arena, None, packed);
     }
     let reduced = restrict.is_some() && pruned > 0;
     NodeExpansion { cands: out, reduced, pruned: if reduced { pruned } else { 0 } }
@@ -856,55 +907,53 @@ where
             Dedup::Ram(seen) => Some(seen),
             Dedup::Ext(_) | Dedup::Shared(_) => None,
         };
-        let expansions: Vec<NodeExpansion<P::State>> =
-            if threads > 1 && frontier.len() >= PARALLEL_FRONTIER_MIN {
-                let arena = &g.arena;
-                let specs_ref = specs;
-                let canon_ref = canon;
-                let workers = threads.min(frontier.len());
-                let chunk = frontier.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = frontier
-                        .chunks(chunk)
-                        .map(|ids| {
-                            scope.spawn(move || {
-                                ids.iter()
-                                    .map(|&i| {
-                                        expand_node(
-                                            protocol,
-                                            specs_ref,
-                                            &arena.decode(i),
-                                            canon_ref,
-                                            seen_view,
-                                            arena,
-                                            por,
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("exploration worker panicked"))
-                        .collect()
+        let arena = &g.arena;
+        // Each chunk's packed rows go to one buffer; the buffers stay
+        // in chunk order, so reading them front to back meets the rows
+        // in frontier order.
+        let expand_chunk = |ids: &[u32]| {
+            let (mut row, mut packed) = (Vec::new(), Vec::new());
+            let nodes: Vec<NodeExpansion<P::State>> = ids
+                .iter()
+                .map(|&i| {
+                    arena.read_words(i, &mut row);
+                    let config = arena.decode_words(&row);
+                    expand_node(
+                        protocol,
+                        specs,
+                        &config,
+                        &row,
+                        canon,
+                        seen_view,
+                        arena,
+                        por,
+                        &mut packed,
+                    )
                 })
-            } else {
-                frontier
-                    .iter()
-                    .map(|&i| {
-                        expand_node(
-                            protocol,
-                            specs,
-                            &g.arena.decode(i),
-                            canon,
-                            seen_view,
-                            &g.arena,
-                            por,
-                        )
-                    })
-                    .collect()
-            };
+                .collect();
+            (nodes, packed)
+        };
+        let (expansions, packed) = if threads > 1 && frontier.len() >= PARALLEL_FRONTIER_MIN {
+            let workers = threads.min(frontier.len());
+            let chunk = frontier.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = frontier
+                    .chunks(chunk)
+                    .map(|ids| scope.spawn(move || expand_chunk(ids)))
+                    .collect();
+                let mut expansions = Vec::with_capacity(frontier.len());
+                let mut packed = Vec::with_capacity(handles.len());
+                for h in handles {
+                    let (nodes, words) = h.join().expect("exploration worker panicked");
+                    expansions.extend(nodes);
+                    packed.push(words);
+                }
+                (expansions, packed)
+            })
+        } else {
+            let (nodes, words) = expand_chunk(&frontier);
+            (nodes, vec![words])
+        };
 
         // Phase 2: sequential merge at the level barrier, in frontier
         // order. This is the only place the arena, the codec, and the
@@ -929,6 +978,7 @@ where
                 ext,
                 &frontier,
                 expansions,
+                &packed,
                 level_depth,
                 max_configs,
                 canon,
@@ -940,6 +990,7 @@ where
                 &mut *t.lock(),
                 &frontier,
                 expansions,
+                &packed,
                 level_depth,
                 max_configs,
                 canon,
@@ -1022,6 +1073,7 @@ fn merge_candidate<S: Clone + Eq + Hash>(
             stats.dedup += 1;
             Some(j)
         }
+        SuccRef::Packed(_) => unreachable!("the in-RAM tier never hands off packed rows"),
         SuccRef::New(cand_config) => {
             // Re-encode against the grown codec (interning any
             // genuinely new states) and re-probe: another frontier
@@ -1124,14 +1176,18 @@ where
                 // Cycle proviso: re-expand in full so every cycle in
                 // the reduced graph contains a fully expanded node.
                 g.por_fallbacks += 1;
+                let mut row = Vec::new();
+                g.arena.read_words(parent_idx, &mut row);
                 let full = expand_node(
                     protocol,
                     specs,
-                    &g.arena.decode(parent_idx),
+                    &g.arena.decode_words(&row),
+                    &row,
                     canon,
                     Some(seen),
                     &g.arena,
                     None,
+                    &mut Vec::new(),
                 );
                 if record_edges {
                     g.succ[parent_idx as usize].clear();
@@ -1180,18 +1236,21 @@ enum GroupState {
 }
 
 /// Batch-oriented level merge, shared by the out-of-core tier and
-/// every [`FrontierTransport`] (the distributed seen-set): encode
-/// every candidate in frontier order (codec ids are assigned here,
-/// exactly as the in-RAM merge would), sort the level's distinct keys,
-/// resolve them against the seen-set in one sorted probe batch, then
-/// assign arena indices by first occurrence in frontier order —
-/// reproducing the in-RAM merge's interning order bit for bit.
+/// every [`FrontierTransport`] (the distributed seen-set): gather every
+/// candidate's packed words in frontier order (most arrive packed from
+/// phase 1; the rest are encoded here, which is where codec ids are
+/// assigned, exactly as the in-RAM merge would assign them), sort the
+/// level's distinct keys, resolve them against the seen-set in one
+/// sorted probe batch, then assign arena indices by first occurrence in
+/// frontier order — reproducing the in-RAM merge's interning order bit
+/// for bit.
 #[allow(clippy::too_many_arguments)]
 fn merge_level_external<S: Clone + Eq + Hash>(
     g: &mut BfsGraph<S>,
     dedup: &mut dyn FrontierTransport,
     frontier: &[u32],
     expansions: Vec<NodeExpansion<S>>,
+    packed: &[Vec<u32>],
     level_depth: usize,
     max_configs: usize,
     canon: &Canonicalizer,
@@ -1200,34 +1259,45 @@ fn merge_level_external<S: Clone + Eq + Hash>(
 ) -> Result<(Vec<u32>, LevelStats), TransportError> {
     let stride = g.arena.stride();
     let n_procs = g.arena.n_procs();
-    let keep_cfg = stop.is_some();
 
-    // Pass A: encode every candidate in frontier order. This is where
-    // codec ids grow, in exactly the order the in-RAM merge grows them.
+    // Pass A: gather every candidate's words in frontier order. Packed
+    // candidates only use codec ids that existed at the level start;
+    // the rest are encoded here, which is where codec ids grow — in
+    // exactly the order the in-RAM merge grows them.
     let mut lev_parent: Vec<u32> = Vec::new();
     let mut lev_step: Vec<Step> = Vec::new();
     let mut lev_hash: Vec<u64> = Vec::new();
     let mut lev_words: Vec<u32> = Vec::new();
-    let mut lev_cfg: Vec<Configuration<S>> = Vec::new();
     let mut words: Vec<u32> = Vec::new();
+    // Packed rows arrive one worker buffer after another, in frontier
+    // order, one row per `SuccRef::Packed` candidate.
+    let mut buffers = packed.iter();
+    let mut rows: &[u32] = &[];
     for (pos, expansion) in expansions.into_iter().enumerate() {
         let parent_idx = frontier[pos];
         // POR forces the in-RAM tier (see `make_store`), so external
         // merges never see reduced expansions.
         debug_assert!(!expansion.reduced);
         for (step, cand) in expansion.cands {
-            let cfg = match cand {
-                SuccRef::New(c) => c,
+            match cand {
+                SuccRef::Packed(hash) => {
+                    while rows.len() < stride {
+                        rows = buffers.next().expect("one packed row per packed candidate");
+                    }
+                    let (row, rest) = rows.split_at(stride);
+                    lev_hash.push(hash);
+                    lev_words.extend_from_slice(row);
+                    rows = rest;
+                }
+                SuccRef::New(cfg) => {
+                    g.arena.encode_intern(&cfg, &mut words);
+                    lev_hash.push(hash_words(&words));
+                    lev_words.extend_from_slice(&words);
+                }
                 SuccRef::Seen(_) => unreachable!("batch tiers never pre-classify"),
-            };
-            g.arena.encode_intern(&cfg, &mut words);
-            lev_hash.push(hash_words(&words));
-            lev_words.extend_from_slice(&words);
+            }
             lev_parent.push(parent_idx);
             lev_step.push(step);
-            if keep_cfg {
-                lev_cfg.push(cfg);
-            }
         }
     }
     let k = lev_hash.len();
@@ -1305,8 +1375,10 @@ fn merge_level_external<S: Clone + Eq + Hash>(
                     }
                     g.add_class(class);
                     if g.hit.is_none() {
+                        // Only rows that are interned are decoded, and
+                        // decoding is exact: packing is injective.
                         if let Some(pred) = stop {
-                            if pred(&lev_cfg[ord]) {
+                            if pred(&g.arena.decode(j)) {
                                 g.hit = Some(j);
                             }
                         }

@@ -335,13 +335,16 @@ pub struct ExploreOutcome {
     /// Total bytes written to spill files (arena segments plus dedup
     /// runs); `0` on the in-RAM tier.
     pub spilled_bytes: u64,
-    /// Sequential merge scans over on-disk dedup runs; `0` on the
-    /// in-RAM tier.
+    /// On-disk dedup runs actually read: by a level's probe, only runs
+    /// where at least one key passed the run's Bloom filter; plus every
+    /// run read by a compaction. `0` on the in-RAM tier.
     pub dedup_merge_passes: u64,
     /// Estimated bytes actually resident at the end of the search —
     /// under a memory budget this stays bounded while
     /// [`arena_bytes`](ExploreOutcome::arena_bytes) keeps reporting the
-    /// total (resident + spilled) footprint.
+    /// total (resident + spilled) footprint. On the out-of-core tier it
+    /// counts the arena's resident window, the dedup RAM buffer and the
+    /// dedup run indexes (about 1.4 B per interned configuration).
     pub resident_arena_bytes: usize,
     /// Path the engine wrote a checkpoint to, if one was requested via
     /// [`ExploreConfig::checkpoint`] and the search stopped resumably.
@@ -1676,6 +1679,30 @@ mod tests {
         assert_eq!(ram.arena_bytes, spill.arena_bytes, "totals are backing-independent");
         // Witnesses are not just equal in verdict but step-for-step.
         assert_eq!(ram.consistency_violation, spill.consistency_violation);
+    }
+
+    #[test]
+    fn spill_mode_find_violation_returns_the_ram_witness() {
+        // The batch tiers evaluate the stop predicate on rows decoded
+        // from the arena as they are interned; the witness must be the
+        // RAM tier's, step for step, at every thread count.
+        let p = Naive { n: 3 };
+        let bad = |c: &Configuration<St>| c.is_inconsistent();
+        let ram = Explorer::default().find_violation(&p, &[0, 1, 0], bad);
+        assert!(ram.0.is_some(), "naive consensus is inconsistent");
+        for threads in [1, 4] {
+            let spill = Explorer::default()
+                .threads(threads)
+                .mem_budget(4096)
+                .find_violation(&p, &[0, 1, 0], bad);
+            assert_eq!(ram, spill);
+        }
+        // A predicate that never holds: same exhaustive answer too.
+        let never = |_: &Configuration<St>| false;
+        let ram = Explorer::default().find_violation(&p, &[0, 1, 0], never);
+        let spill = Explorer::default().mem_budget(4096).find_violation(&p, &[0, 1, 0], never);
+        assert_eq!(ram, spill);
+        assert!(ram.0.is_none());
     }
 
     #[test]

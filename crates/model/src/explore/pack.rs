@@ -31,6 +31,14 @@
 //! engine calls solely from its sequential merge — so id assignment,
 //! and with it every word in the arena, is deterministic for every
 //! `threads`/`shards` setting.
+//!
+//! The codec is **append-only**: an id, once assigned, names the same
+//! state or value for the rest of the search. That is what lets the
+//! batch tiers' phase-1 workers pack candidates with
+//! [`PackedArena::try_encode`] against the codec frozen at the level
+//! start and hand the merge finished words: every id those words use
+//! still means the same thing when the merge interns them, so the words
+//! are exactly what [`PackedArena::encode_intern`] would produce.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -143,7 +151,6 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
     }
 
     /// Copy the packed words of configuration `i` into `out`.
-    #[cfg(test)]
     pub(super) fn read_words(&self, i: u32, out: &mut Vec<u32>) {
         out.clear();
         self.with_words(i, |w| out.extend_from_slice(w));
@@ -155,6 +162,49 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
     /// made encoding fail has never been seen). Read-only, so parallel
     /// workers may call it freely against a frozen arena.
     pub(super) fn try_encode(&self, config: &Configuration<S>, out: &mut Vec<u32>) -> bool {
+        if !self.try_encode_procs(config, out) {
+            return false;
+        }
+        for v in &config.values {
+            match self.value_ids.get(v) {
+                Some(&id) => out.push(id),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// [`try_encode`](Self::try_encode) for a one-step successor of the
+    /// configuration packed as `parent`: every object slot but
+    /// `changed` still holds the parent's value, so it keeps the
+    /// parent's word, and only the process slots and the changed object
+    /// cost a codec lookup. Process slots are always looked up, since
+    /// canonicalization may have reordered them.
+    pub(super) fn try_encode_successor(
+        &self,
+        config: &Configuration<S>,
+        parent: &[u32],
+        changed: Option<usize>,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        debug_assert!(config.values.iter().enumerate().all(|(o, v)| Some(o) == changed
+            || self.value_ids.get(v) == Some(&parent[self.n_procs + o])));
+        if !self.try_encode_procs(config, out) {
+            return false;
+        }
+        out.extend_from_slice(&parent[self.n_procs..]);
+        if let Some(o) = changed {
+            match self.value_ids.get(&config.values[o]) {
+                Some(&id) => out[self.n_procs + o] = id,
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Encode the process slots of `config` into `out` (cleared first)
+    /// without interning; `false` if some state has no id yet.
+    fn try_encode_procs(&self, config: &Configuration<S>, out: &mut Vec<u32>) -> bool {
         debug_assert_eq!(config.procs.len(), self.n_procs);
         out.clear();
         for p in &config.procs {
@@ -166,12 +216,6 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
                     Some(&id) => out.push(ACTIVE_BASE + id),
                     None => return false,
                 },
-            }
-        }
-        for v in &config.values {
-            match self.value_ids.get(v) {
-                Some(&id) => out.push(id),
-                None => return false,
             }
         }
         true
@@ -232,20 +276,22 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
 
     /// Decode configuration `i` back into its heap form.
     pub(super) fn decode(&self, i: u32) -> Configuration<S> {
-        self.with_words(i, |words| {
-            let procs = words[..self.n_procs]
-                .iter()
-                .map(|&w| match w {
-                    WORD_CRASHED => ProcState::Crashed,
-                    WORD_RETIRED => ProcState::Retired,
-                    w if w < ACTIVE_BASE => ProcState::Decided((w - DECIDED_BASE) as Decision),
-                    w => ProcState::Active(self.states[(w - ACTIVE_BASE) as usize].clone()),
-                })
-                .collect();
-            let values =
-                words[self.n_procs..].iter().map(|&w| self.values[w as usize]).collect();
-            Configuration { procs, values }
-        })
+        self.with_words(i, |words| self.decode_words(words))
+    }
+
+    /// Decode one packed row back into its heap form.
+    pub(super) fn decode_words(&self, words: &[u32]) -> Configuration<S> {
+        let procs = words[..self.n_procs]
+            .iter()
+            .map(|&w| match w {
+                WORD_CRASHED => ProcState::Crashed,
+                WORD_RETIRED => ProcState::Retired,
+                w if w < ACTIVE_BASE => ProcState::Decided((w - DECIDED_BASE) as Decision),
+                w => ProcState::Active(self.states[(w - ACTIVE_BASE) as usize].clone()),
+            })
+            .collect();
+        let values = words[self.n_procs..].iter().map(|&w| self.values[w as usize]).collect();
+        Configuration { procs, values }
     }
 
     /// Whether configuration `i` has at least one active process.

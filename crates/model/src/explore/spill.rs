@@ -19,10 +19,30 @@
 //!   collision-checked probes (a fingerprint-only store could merge two
 //!   hash-colliding configurations and silently diverge). Entries live
 //!   in a bounded, sorted RAM buffer; when the buffer exceeds its share
-//!   of the budget it is flushed as a sorted *run* file. Each BFS level
-//!   probes one sorted batch of candidate keys against the buffer and
-//!   every run with two-pointer merges — strictly sequential I/O — and
-//!   runs are compacted by k-way merge when they accumulate.
+//!   of the budget it is flushed as a sorted *run* file. Runs are
+//!   compacted by k-way merge when they accumulate.
+//!
+//! Each BFS level probes one sorted batch of candidate keys: a
+//! two-pointer merge against the RAM buffer, then each run through its
+//! **index**, built in RAM whenever the run is written or compacted:
+//!
+//! * a *fence* hash every [`FENCE_STRIDE`] entries. A key's first
+//!   candidate block is the one opened by the last fence whose hash is
+//!   **strictly less** than the key's, so a range of equal hashes that
+//!   straddles a fence is still found from its start;
+//! * a Bloom filter over the entry hashes, [`BLOOM_BITS_PER_ENTRY`]
+//!   bits per entry (about 1% false positives). Most absent keys never
+//!   touch the run's file.
+//!
+//! A key that passes the filter costs one seek and one block read
+//! (the scan position only moves forward, since keys ascend), and is
+//! still resolved by comparing full words. The index costs
+//! `10/8 + 8/64 ≈ 1.4` bytes per entry — every interned configuration
+//! is one entry — and is counted in `resident_bytes`, hence in
+//! `resident_arena_bytes`.
+//!
+//! Files are read and written a whole segment, record or block at a
+//! time, never one word per call.
 //!
 //! All files live in one [`SpillDir`] per search, deleted on drop.
 //!
@@ -34,7 +54,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -89,9 +109,12 @@ impl Drop for SpillDir {
 /// How a memory budget is split between the spill structures.
 ///
 /// The budget bounds the *steady-state resident* set: the arena's
-/// resident window plus the dedup RAM buffer. The per-level working set
-/// (phase-1 candidate clones and the level merge buffers) is additional
-/// and proportional to the widest BFS level, as it always was for the
+/// resident window plus the dedup RAM buffer. Two things are additional:
+/// the run indexes, which grow with the interned count (about 1.4 B per
+/// configuration, see the module docs), and the per-level working set —
+/// phase-1 candidates (packed rows, plus clones of the few that carry a
+/// never-seen state) and the level merge buffers — which is
+/// proportional to the widest BFS level, as it always was for the
 /// in-RAM engine.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct BudgetPlan {
@@ -193,14 +216,10 @@ impl SpillStore {
 
     fn seal_tail(&mut self) {
         let path = self.seg_path(self.sealed);
-        let file = File::create(&path)
+        let mut file = File::create(&path)
             .unwrap_or_else(|e| panic!("cannot create spill segment {}: {e}", path.display()));
-        let mut w = BufWriter::new(file);
-        for &word in &self.tail {
-            w.write_all(&word.to_le_bytes())
-                .unwrap_or_else(|e| panic!("spill segment write failed: {e}"));
-        }
-        w.flush().unwrap_or_else(|e| panic!("spill segment flush failed: {e}"));
+        let bytes: Vec<u8> = self.tail.iter().flat_map(|w| w.to_le_bytes()).collect();
+        file.write_all(&bytes).unwrap_or_else(|e| panic!("spill segment write failed: {e}"));
         self.spilled_bytes += (self.tail.len() * 4) as u64;
         // Freshly sealed segments are the likeliest to be re-read (the
         // next level decodes the frontier just interned): seed the
@@ -228,16 +247,15 @@ impl SpillStore {
             return Arc::clone(words);
         }
         let path = self.seg_path(seg);
-        let file = File::open(&path)
-            .unwrap_or_else(|e| panic!("cannot reopen spill segment {}: {e}", path.display()));
-        let mut r = BufReader::new(file);
-        let mut words = Vec::with_capacity(self.segment_words);
-        let mut buf = [0u8; 4];
-        for _ in 0..self.segment_words {
-            r.read_exact(&mut buf)
-                .unwrap_or_else(|e| panic!("spill segment read failed: {e}"));
-            words.push(u32::from_le_bytes(buf));
-        }
+        let bytes = fs::read(&path)
+            .unwrap_or_else(|e| panic!("cannot reread spill segment {}: {e}", path.display()));
+        assert_eq!(
+            bytes.len(),
+            self.segment_words * 4,
+            "spill segment {} has the wrong length",
+            path.display()
+        );
+        let words: Vec<u32> = bytes.chunks_exact(4).map(le_u32).collect();
         let words = Arc::new(words);
         let mut win = self.lock_window();
         Self::admit(&mut win, self.window_cap, seg, Arc::clone(&words));
@@ -257,10 +275,76 @@ impl SpillStore {
     }
 }
 
-/// One sealed sorted run of dedup entries on disk.
+/// Entries per block of a run's fence index. A run keeps the hash of
+/// every `FENCE_STRIDE`-th entry in RAM, so a probe seeks straight to
+/// the block a key can live in instead of scanning the run.
+const FENCE_STRIDE: usize = 64;
+/// Bloom filter bits per run entry (about 1% false positives at
+/// [`BLOOM_PROBES`] probes).
+const BLOOM_BITS_PER_ENTRY: usize = 10;
+/// Bit probes per Bloom insert or lookup.
+const BLOOM_PROBES: u64 = 7;
+
+/// A Bloom filter over the 64-bit word hashes of one run's entries.
+///
+/// A negative answer is exact (the run holds no entry with that hash),
+/// so a probe skips the run's disk blocks for most absent keys; a
+/// positive answer only means "read the block and compare full words".
+struct Bloom {
+    bits: Vec<u64>,
+}
+
+impl Bloom {
+    fn for_entries(entries: usize) -> Bloom {
+        let words = (entries.max(1) * BLOOM_BITS_PER_ENTRY).div_ceil(64);
+        Bloom { bits: vec![0; words] }
+    }
+
+    /// The bit positions of `hash`: double hashing over the well-mixed
+    /// SipHash value, each probe reduced to `[0, nbits)` by a
+    /// multiply-shift.
+    fn positions(nbits: u64, hash: u64) -> impl Iterator<Item = usize> {
+        let step = hash.rotate_left(32).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..BLOOM_PROBES).map(move |i| {
+            let x = hash.wrapping_add(i.wrapping_mul(step));
+            ((u128::from(x) * u128::from(nbits)) >> 64) as usize
+        })
+    }
+
+    fn nbits(&self) -> u64 {
+        self.bits.len() as u64 * 64
+    }
+
+    fn insert(&mut self, hash: u64) {
+        for p in Self::positions(self.nbits(), hash) {
+            self.bits[p / 64] |= 1 << (p % 64);
+        }
+    }
+
+    fn may_contain(&self, hash: u64) -> bool {
+        Self::positions(self.nbits(), hash).all(|p| self.bits[p / 64] & (1 << (p % 64)) != 0)
+    }
+
+    fn bytes(&self) -> usize {
+        self.bits.len() * 8
+    }
+}
+
+/// One sealed sorted run of dedup entries on disk, plus its resident
+/// index: the fence hashes and the Bloom filter.
 struct DedupRun {
     path: PathBuf,
     entries: usize,
+    /// `fences[b]` is the hash of entry `b * FENCE_STRIDE`.
+    fences: Vec<u64>,
+    bloom: Bloom,
+}
+
+impl DedupRun {
+    /// Resident bytes of the run's index.
+    fn index_bytes(&self) -> usize {
+        self.fences.len() * 8 + self.bloom.bytes()
+    }
 }
 
 /// External-memory exact seen-set: sorted RAM buffer + sorted run files.
@@ -284,13 +368,30 @@ pub(super) struct ExternalDedup {
     merge_passes: u64,
 }
 
-/// Bytes one entry costs in the RAM buffer.
+/// Bytes one entry costs, in the RAM buffer and as a run record: the
+/// hash, the arena index and the stride words.
 fn entry_bytes(stride: usize) -> usize {
     8 + 4 + stride * 4
 }
 
 fn key_cmp(ha: u64, wa: &[u32], hb: u64, wb: &[u32]) -> Ordering {
     ha.cmp(&hb).then_with(|| wa.cmp(wb))
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4-byte field"))
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte field"))
+}
+
+/// Decode one run record into `words`; returns its hash and index.
+fn decode_record(record: &[u8], words: &mut [u32]) -> (u64, u32) {
+    for (slot, b) in words.iter_mut().zip(record[12..].chunks_exact(4)) {
+        *slot = le_u32(b);
+    }
+    (le_u64(&record[..8]), le_u32(&record[8..12]))
 }
 
 impl ExternalDedup {
@@ -313,15 +414,17 @@ impl ExternalDedup {
         self.spilled_bytes
     }
 
-    /// Sequential scans performed over on-disk sorted runs (probe scans
-    /// plus compaction reads) — the "how much merging did the level
-    /// barrier do" number reported as `dedup_merge_passes`.
+    /// On-disk runs read so far — by a probe, only runs with at least
+    /// one key that passed the Bloom filter; plus every run a
+    /// compaction read. Reported as `dedup_merge_passes`.
     pub(super) fn merge_passes(&self) -> u64 {
         self.merge_passes
     }
 
+    /// The RAM buffer plus every run's index (fences and Bloom bits).
     pub(super) fn resident_bytes(&self) -> usize {
         self.hashes.len() * entry_bytes(self.stride)
+            + self.runs.iter().map(DedupRun::index_bytes).sum::<usize>()
     }
 
     fn key_of(&self, k: usize) -> (u64, &[u32]) {
@@ -333,8 +436,8 @@ impl ExternalDedup {
     /// `keys_h[k]` / `keys_w[k*stride..]` hold key `k`; keys are unique
     /// and ascending by `(hash, words)`. Returns, per key, the arena
     /// index of the matching interned configuration if one exists. One
-    /// two-pointer merge over the RAM buffer plus one sequential scan
-    /// per run — no random I/O.
+    /// two-pointer merge over the RAM buffer, then per run only the
+    /// index blocks that can hold a still-unresolved key.
     pub(super) fn probe_sorted(&mut self, keys_h: &[u64], keys_w: &[u32]) -> Vec<Option<u32>> {
         let stride = self.stride;
         let n = keys_h.len();
@@ -355,29 +458,9 @@ impl ExternalDedup {
                 }
             }
         }
-        // Run merges.
-        self.merge_passes += self.runs.len() as u64;
-        for r in 0..self.runs.len() {
-            let (path, entries) = (self.runs[r].path.clone(), self.runs[r].entries);
-            let mut reader = RunReader::open(&path, entries, stride);
-            let mut ki = 0usize;
-            while let Some((h, idx)) = reader.next() {
-                let w = reader.words();
-                while ki < n
-                    && key_cmp(keys_h[ki], &keys_w[ki * stride..(ki + 1) * stride], h, w)
-                        == Ordering::Less
-                {
-                    ki += 1;
-                }
-                if ki == n {
-                    break;
-                }
-                if key_cmp(keys_h[ki], &keys_w[ki * stride..(ki + 1) * stride], h, w)
-                    == Ordering::Equal
-                {
-                    out[ki] = Some(idx);
-                    ki += 1;
-                }
+        for run in &self.runs {
+            if probe_run(run, stride, keys_h, keys_w, &mut out) {
+                self.merge_passes += 1;
             }
         }
         out
@@ -433,13 +516,13 @@ impl ExternalDedup {
         }
         let path = self.dir.file(&format!("dedup-run-{}.bin", self.run_seq));
         self.run_seq += 1;
-        let mut w = RunWriter::create(&path);
+        let mut w = RunWriter::create(path, self.hashes.len(), self.stride);
         for k in 0..self.hashes.len() {
             w.write(self.hashes[k], self.indices[k], &self.words[k * self.stride..(k + 1) * self.stride]);
         }
-        let bytes = w.finish();
+        let (run, bytes) = w.finish();
         self.spilled_bytes += bytes;
-        self.runs.push(DedupRun { path, entries: self.hashes.len() });
+        self.runs.push(run);
         self.hashes.clear();
         self.indices.clear();
         self.words.clear();
@@ -459,7 +542,7 @@ impl ExternalDedup {
             old.iter().map(|r| RunReader::open(&r.path, r.entries, self.stride)).collect();
         let mut heads: Vec<Option<(u64, u32)>> = readers.iter_mut().map(RunReader::next).collect();
         self.merge_passes += old.len() as u64;
-        let mut w = RunWriter::create(&path);
+        let mut w = RunWriter::create(path, total, self.stride);
         loop {
             let mut best: Option<usize> = None;
             for (i, head) in heads.iter().enumerate() {
@@ -481,13 +564,57 @@ impl ExternalDedup {
             w.write(h, idx, readers[i].words());
             heads[i] = readers[i].next();
         }
-        let bytes = w.finish();
+        let (run, bytes) = w.finish();
         self.spilled_bytes += bytes;
         for r in &old {
             let _ = fs::remove_file(&r.path);
         }
-        self.runs.push(DedupRun { path, entries: total });
+        self.runs.push(run);
     }
+}
+
+/// Resolve the still-unresolved keys of a sorted probe batch against
+/// one indexed run; returns whether any of the run's blocks was read.
+///
+/// A key is looked up only if the run's Bloom filter admits its hash.
+/// Its first candidate block is the one opened by the **last fence
+/// strictly below** its hash: entries with an equal hash may begin in
+/// that block and straddle into the next, so starting at a fence equal
+/// to the hash could miss them. The scan then compares full words and
+/// walks forward across block boundaries until it passes the key. Keys
+/// ascend, so the scan position never moves back.
+fn probe_run(
+    run: &DedupRun,
+    stride: usize,
+    keys_h: &[u64],
+    keys_w: &[u32],
+    out: &mut [Option<u32>],
+) -> bool {
+    let mut reader: Option<BlockReader> = None;
+    // Every entry before `pos` is smaller than the current key.
+    let mut pos = 0usize;
+    for (k, &h) in keys_h.iter().enumerate() {
+        if out[k].is_some() || !run.bloom.may_contain(h) {
+            continue;
+        }
+        let kw = &keys_w[k * stride..(k + 1) * stride];
+        let start = run.fences.partition_point(|&f| f < h).saturating_sub(1) * FENCE_STRIDE;
+        pos = pos.max(start);
+        let reader = reader.get_or_insert_with(|| BlockReader::open(run, stride));
+        while pos < run.entries {
+            let (eh, ew, idx) = reader.entry(pos);
+            match key_cmp(h, kw, eh, ew) {
+                Ordering::Less => break,
+                Ordering::Equal => {
+                    out[k] = Some(idx);
+                    pos += 1;
+                    break;
+                }
+                Ordering::Greater => pos += 1,
+            }
+        }
+    }
+    reader.is_some()
 }
 
 /// The spill tier speaks the frontier-exchange seam natively: its two
@@ -524,42 +651,70 @@ impl FrontierTransport for ExternalDedup {
     }
 }
 
-/// Sequential writer of one sorted run file.
+/// Sequential writer of one sorted run file that builds the run's
+/// index as it goes. Each entry is encoded into one record buffer and
+/// written with a single call.
 struct RunWriter {
+    path: PathBuf,
     w: BufWriter<File>,
+    record: Vec<u8>,
+    entries: usize,
+    fences: Vec<u64>,
+    bloom: Bloom,
     bytes: u64,
 }
 
 impl RunWriter {
-    fn create(path: &std::path::Path) -> RunWriter {
-        let file = File::create(path)
+    /// A writer for a run of exactly `entries` entries (sizes the
+    /// Bloom filter).
+    fn create(path: PathBuf, entries: usize, stride: usize) -> RunWriter {
+        let file = File::create(&path)
             .unwrap_or_else(|e| panic!("cannot create dedup run {}: {e}", path.display()));
-        RunWriter { w: BufWriter::new(file), bytes: 0 }
-    }
-
-    fn write(&mut self, hash: u64, index: u32, words: &[u32]) {
-        let mut put = |bytes: &[u8]| {
-            self.w.write_all(bytes).unwrap_or_else(|e| panic!("dedup run write failed: {e}"));
-            self.bytes += bytes.len() as u64;
-        };
-        put(&hash.to_le_bytes());
-        put(&index.to_le_bytes());
-        for &word in words {
-            put(&word.to_le_bytes());
+        RunWriter {
+            path,
+            w: BufWriter::new(file),
+            record: Vec::with_capacity(entry_bytes(stride)),
+            entries: 0,
+            fences: Vec::with_capacity(entries.div_ceil(FENCE_STRIDE)),
+            bloom: Bloom::for_entries(entries),
+            bytes: 0,
         }
     }
 
-    fn finish(mut self) -> u64 {
+    fn write(&mut self, hash: u64, index: u32, words: &[u32]) {
+        if self.entries.is_multiple_of(FENCE_STRIDE) {
+            self.fences.push(hash);
+        }
+        self.bloom.insert(hash);
+        self.entries += 1;
+        self.record.clear();
+        self.record.extend_from_slice(&hash.to_le_bytes());
+        self.record.extend_from_slice(&index.to_le_bytes());
+        self.record.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        self.w.write_all(&self.record).unwrap_or_else(|e| panic!("dedup run write failed: {e}"));
+        self.bytes += self.record.len() as u64;
+    }
+
+    /// Flush the file; returns the indexed run and the bytes written.
+    fn finish(mut self) -> (DedupRun, u64) {
         self.w.flush().unwrap_or_else(|e| panic!("dedup run flush failed: {e}"));
-        self.bytes
+        let run = DedupRun {
+            path: self.path,
+            entries: self.entries,
+            fences: self.fences,
+            bloom: self.bloom,
+        };
+        (run, self.bytes)
     }
 }
 
-/// Sequential reader of one sorted run file; `words()` exposes the
-/// words of the entry most recently returned by [`RunReader::next`].
+/// Sequential reader of one sorted run file (compaction); `words()`
+/// exposes the words of the entry most recently returned by
+/// [`RunReader::next`]. Reads one whole record per call.
 struct RunReader {
     r: BufReader<File>,
     remaining: usize,
+    record: Vec<u8>,
     words: Vec<u32>,
 }
 
@@ -567,7 +722,12 @@ impl RunReader {
     fn open(path: &std::path::Path, entries: usize, stride: usize) -> RunReader {
         let file = File::open(path)
             .unwrap_or_else(|e| panic!("cannot reopen dedup run {}: {e}", path.display()));
-        RunReader { r: BufReader::new(file), remaining: entries, words: vec![0; stride] }
+        RunReader {
+            r: BufReader::new(file),
+            remaining: entries,
+            record: vec![0; entry_bytes(stride)],
+            words: vec![0; stride],
+        }
     }
 
     fn next(&mut self) -> Option<(u64, u32)> {
@@ -575,17 +735,10 @@ impl RunReader {
             return None;
         }
         self.remaining -= 1;
-        let mut b8 = [0u8; 8];
-        let mut b4 = [0u8; 4];
-        self.r.read_exact(&mut b8).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-        let hash = u64::from_le_bytes(b8);
-        self.r.read_exact(&mut b4).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-        let index = u32::from_le_bytes(b4);
-        for slot in self.words.iter_mut() {
-            self.r.read_exact(&mut b4).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-            *slot = u32::from_le_bytes(b4);
-        }
-        Some((hash, index))
+        self.r
+            .read_exact(&mut self.record)
+            .unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
+        Some(decode_record(&self.record, &mut self.words))
     }
 
     fn words(&self) -> &[u32] {
@@ -593,9 +746,75 @@ impl RunReader {
     }
 }
 
+/// Random-access reader of one run's fence blocks, for probes: a block
+/// is loaded with one seek and one read and stays decoded until the
+/// scan leaves it.
+struct BlockReader<'r> {
+    run: &'r DedupRun,
+    file: File,
+    stride: usize,
+    /// The loaded block, if any.
+    block: Option<usize>,
+    raw: Vec<u8>,
+    hashes: Vec<u64>,
+    indices: Vec<u32>,
+    words: Vec<u32>,
+}
+
+impl<'r> BlockReader<'r> {
+    fn open(run: &'r DedupRun, stride: usize) -> BlockReader<'r> {
+        let file = File::open(&run.path)
+            .unwrap_or_else(|e| panic!("cannot reopen dedup run {}: {e}", run.path.display()));
+        BlockReader {
+            run,
+            file,
+            stride,
+            block: None,
+            raw: Vec::new(),
+            hashes: Vec::with_capacity(FENCE_STRIDE),
+            indices: Vec::with_capacity(FENCE_STRIDE),
+            words: Vec::with_capacity(FENCE_STRIDE * stride),
+        }
+    }
+
+    /// The hash, words and arena index of entry `pos` of the run.
+    fn entry(&mut self, pos: usize) -> (u64, &[u32], u32) {
+        let block = pos / FENCE_STRIDE;
+        if self.block != Some(block) {
+            self.load(block);
+        }
+        let at = pos % FENCE_STRIDE;
+        let words = &self.words[at * self.stride..(at + 1) * self.stride];
+        (self.hashes[at], words, self.indices[at])
+    }
+
+    fn load(&mut self, block: usize) {
+        let record = entry_bytes(self.stride);
+        let first = block * FENCE_STRIDE;
+        let count = FENCE_STRIDE.min(self.run.entries - first);
+        self.raw.resize(count * record, 0);
+        self.file
+            .seek(SeekFrom::Start((first * record) as u64))
+            .and_then(|_| self.file.read_exact(&mut self.raw))
+            .unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
+        self.hashes.clear();
+        self.indices.clear();
+        self.words.resize(count * self.stride, 0);
+        for (k, rec) in self.raw.chunks_exact(record).enumerate() {
+            let (h, idx) =
+                decode_record(rec, &mut self.words[k * self.stride..(k + 1) * self.stride]);
+            self.hashes.push(h);
+            self.indices.push(idx);
+        }
+        self.block = Some(block);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn plan() -> BudgetPlan {
         // Tiny budget so tests exercise sealing and run flushing.
@@ -674,5 +893,96 @@ mod tests {
             assert_eq!(got[k], p.2, "probe {k} diverged");
         }
         assert!(dd.merge_passes() > 0);
+    }
+
+    /// Insert `batch` (already sorted by `(hash, words)`) into `dd`.
+    fn insert_batch(dd: &mut ExternalDedup, batch: &BTreeMap<(u64, Vec<u32>), u32>) {
+        let h: Vec<u64> = batch.keys().map(|k| k.0).collect();
+        let w: Vec<u32> = batch.keys().flat_map(|k| k.1.iter().copied()).collect();
+        let idx: Vec<u32> = batch.values().copied().collect();
+        dd.insert_sorted(&h, &idx, &w);
+    }
+
+    /// Hash shared by about a quarter of the keys [`probe_vs_brute_force`]
+    /// inserts: its entries span several fence blocks, so equal hashes
+    /// straddle fences.
+    const SHARED: u64 = 1 << 40;
+
+    /// Insert 40 random sorted batches into a seen-set built with
+    /// `plan`, probing after each one; every probe must equal a brute
+    /// force lookup in the set of everything inserted so far.
+    fn probe_vs_brute_force(plan: &BudgetPlan) -> ExternalDedup {
+        let stride = 2usize;
+        let mut dd = ExternalDedup::new(stride, plan, SpillDir::create(None));
+        let mut rng = SplitMix64::new(12);
+        let mut truth: BTreeMap<(u64, Vec<u32>), u32> = BTreeMap::new();
+        let random_key = |rng: &mut SplitMix64| {
+            let h = if rng.next_below(4) == 0 { SHARED } else { rng.next_below(1 << 16) * 7 };
+            (h, vec![rng.next_below(64) as u32, rng.next_below(64) as u32])
+        };
+        for _ in 0..40 {
+            let mut batch = BTreeMap::new();
+            while batch.len() < 60 {
+                let key = random_key(&mut rng);
+                if !truth.contains_key(&key) && !batch.contains_key(&key) {
+                    batch.insert(key, (truth.len() + batch.len()) as u32);
+                }
+            }
+            insert_batch(&mut dd, &batch);
+            truth.extend(batch);
+
+            // Probe a sorted mix of present keys, random keys (mostly
+            // absent everywhere) and absent words under the shared hash.
+            let mut probes: BTreeSet<(u64, Vec<u32>)> = BTreeSet::new();
+            let present: Vec<&(u64, Vec<u32>)> = truth.keys().collect();
+            for _ in 0..80 {
+                probes.insert(present[rng.next_below(present.len() as u64) as usize].clone());
+                probes.insert(random_key(&mut rng));
+                probes.insert((SHARED, vec![64 + rng.next_below(8) as u32, 0]));
+            }
+            let h: Vec<u64> = probes.iter().map(|k| k.0).collect();
+            let w: Vec<u32> = probes.iter().flat_map(|k| k.1.iter().copied()).collect();
+            let got = dd.probe_sorted(&h, &w);
+            // Brute force: the exact set of everything ever inserted.
+            let want: Vec<Option<u32>> = probes.iter().map(|k| truth.get(k).copied()).collect();
+            assert_eq!(got, want);
+        }
+        dd
+    }
+
+    #[test]
+    fn indexed_probe_matches_brute_force_across_runs_and_compactions() {
+        // The tiny plan flushes a run on every insert.
+        let dd = probe_vs_brute_force(&plan());
+        assert!(dd.run_seq > MAX_DEDUP_RUNS as u64, "runs must have been compacted");
+        let straddles = dd
+            .runs
+            .iter()
+            .any(|r| r.fences.iter().skip(1).any(|&f| f == SHARED));
+        assert!(straddles, "some fence block must open inside the shared-hash range");
+        assert!(dd.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn ram_buffer_merge_matches_brute_force() {
+        // Room for a few batches: inserts merge into a non-empty RAM
+        // buffer, and a few flushes still happen.
+        let roomy = BudgetPlan { dedup_ram_bytes: 200 * entry_bytes(2), ..plan() };
+        let dd = probe_vs_brute_force(&roomy);
+        assert!(!dd.runs.is_empty(), "the buffer must have flushed too");
+    }
+
+    #[test]
+    fn bloom_filter_has_no_false_negatives_and_few_false_positives() {
+        let mut bloom = Bloom::for_entries(10_000);
+        let mut rng = SplitMix64::new(3);
+        let inserted: Vec<u64> = (0..10_000).map(|_| rng.next_u64()).collect();
+        for &h in &inserted {
+            bloom.insert(h);
+        }
+        assert!(inserted.iter().all(|&h| bloom.may_contain(h)));
+        let false_hits = (0..100_000).filter(|_| bloom.may_contain(rng.next_u64())).count();
+        assert!(false_hits < 2_000, "{false_hits} false positives in 100000 (> 2%)");
+        assert_eq!(bloom.bytes(), (10_000 * BLOOM_BITS_PER_ENTRY).div_ceil(64) * 8);
     }
 }

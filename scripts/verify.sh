@@ -5,7 +5,9 @@
 #
 # Steps:
 #   1. release build of the whole workspace
-#   2. the tier-1 test gate (root package) and the full workspace suite
+#   2. the tier-1 test gate (root package) and the full workspace
+#      suite, in debug and in release (optimizations must not change
+#      a result)
 #   3. the canonical-vs-raw equivalence property suite (symmetry
 #      quotient must never change a verdict)
 #   4. object-kind conformance properties: every bridged threaded
@@ -67,6 +69,9 @@ cargo test -q
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
+
+echo "== cargo test -q --workspace --release =="
+cargo test -q --workspace --release
 
 echo "== canonical/raw equivalence properties =="
 cargo test -q --release -p randsync-consensus --test prop_canonical_equiv
