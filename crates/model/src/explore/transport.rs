@@ -16,13 +16,15 @@
 //!
 //! Implementations in this workspace:
 //!
-//! * [`LocalFrontier`] — the in-process reference implementation (a
-//!   plain hash map), used by the equivalence property suites and as
-//!   the semantic model every remote implementation must match.
+//! * [`LocalFrontier`] — the in-process reference implementation (one
+//!   flat words vector behind an open-addressing index), used by the
+//!   equivalence property suites, as the semantic model every remote
+//!   implementation must match, and as the store of every remote shard.
 //! * `ExternalDedup` (the spill tier) implements the same trait, so
 //!   the engine's external merge is written once against the seam.
 //! * `randsync-svc`'s `DistributedFrontier` speaks the same contract
-//!   over the JSONL wire protocol to N worker processes.
+//!   over the wire protocol (binary probe/insert frames) to N worker
+//!   processes.
 //!
 //! # Contract
 //!
@@ -43,7 +45,6 @@
 //! the level boundary and reports a truncated outcome with
 //! [`TruncationReason::Transport`](super::TruncationReason::Transport).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A frontier-exchange failure (connection loss, protocol error, a
@@ -120,20 +121,28 @@ impl std::fmt::Debug for SharedFrontier {
     }
 }
 
-/// The (index, packed words) entries stored under one fingerprint:
-/// every config whose rows hashed to that value, kept for exact
-/// (non-hash) membership comparison.
-type Bucket = Vec<(u32, Box<[u32]>)>;
-
-/// The in-process reference implementation of the seam: a hash map
-/// from fingerprint to the (words, index) pairs inserted under it.
-/// Semantically identical to the engine's in-RAM seen-maps; exists so
-/// the seam itself can be property-tested for bit-identity without any
-/// networking, and as the executable model for remote shards.
-#[derive(Debug, Default)]
+/// The in-process reference implementation of the seam. Every key's
+/// packed words sit in one flat vector (key `k` at `k * stride`), next
+/// to its hash and arena index; an open-addressing table over the
+/// hashes finds them. Inserting allocates nothing per key, and a probe
+/// compares full words, so keys whose 64-bit hashes collide stay
+/// distinct. Semantically identical to the engine's in-RAM seen-maps;
+/// exists so the seam itself can be property-tested for bit-identity
+/// without any networking, and as the store behind every remote shard.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LocalFrontier {
     stride: usize,
-    map: HashMap<u64, Bucket>,
+    /// Packed words, `stride` per key, in insertion order.
+    words: Vec<u32>,
+    /// Each key's hash.
+    hashes: Vec<u64>,
+    /// Each key's arena index.
+    indices: Vec<u32>,
+    /// Linear-probing table, a power of two in size and at most half
+    /// full: `k + 1` for key `k`, 0 for an empty slot. A key inserted
+    /// twice is found at its first insertion, which sits earlier on the
+    /// probe sequence.
+    slots: Vec<u32>,
 }
 
 impl LocalFrontier {
@@ -144,12 +153,49 @@ impl LocalFrontier {
 
     /// Number of keys inserted so far.
     pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.indices.len()
     }
 
     /// Whether no keys have been inserted.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.indices.is_empty()
+    }
+
+    /// The packed row width of the open search (0 before `open`).
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The table slot where the probe sequence for `h` starts.
+    fn home(&self, h: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The key number holding `(h, row)`, if inserted.
+    fn find(&self, h: u64, row: &[u32]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(h);
+        loop {
+            let k = (self.slots[at] as usize).checked_sub(1)?;
+            if self.hashes[k] == h && &self.words[k * self.stride..(k + 1) * self.stride] == row {
+                return Some(k);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Enter key `k` into the table.
+    fn place(&mut self, k: usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(self.hashes[k]);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = k as u32 + 1;
     }
 }
 
@@ -158,8 +204,8 @@ impl FrontierTransport for LocalFrontier {
         if stride == 0 {
             return Err(TransportError::new("frontier stride must be nonzero"));
         }
+        self.close()?;
         self.stride = stride;
-        self.map.clear();
         Ok(())
     }
 
@@ -174,13 +220,8 @@ impl FrontierTransport for LocalFrontier {
         }
         Ok(hashes
             .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let row = &words[i * stride..(i + 1) * stride];
-                self.map.get(h).and_then(|entries| {
-                    entries.iter().find(|(_, w)| &**w == row).map(|&(j, _)| j)
-                })
-            })
+            .zip(words.chunks_exact(stride))
+            .map(|(&h, row)| self.find(h, row).map(|k| self.indices[k]))
             .collect())
     }
 
@@ -197,15 +238,33 @@ impl FrontierTransport for LocalFrontier {
         {
             return Err(TransportError::new("malformed insert batch"));
         }
-        for (i, (&h, &j)) in hashes.iter().zip(indices).enumerate() {
-            let row = &words[i * stride..(i + 1) * stride];
-            self.map.entry(h).or_default().push((j, row.into()));
+        let old = self.len();
+        let len = old + hashes.len();
+        // Slot entries are `k + 1` in a u32.
+        if len >= u32::MAX as usize {
+            return Err(TransportError::new("frontier store full"));
+        }
+        self.words.extend_from_slice(words);
+        self.hashes.extend_from_slice(hashes);
+        self.indices.extend_from_slice(indices);
+        let mut size = self.slots.len().max(16);
+        while size < 2 * len {
+            size *= 2;
+        }
+        let first_new = if size == self.slots.len() {
+            old
+        } else {
+            self.slots = vec![0; size];
+            0
+        };
+        for k in first_new..len {
+            self.place(k);
         }
         Ok(())
     }
 
     fn close(&mut self) -> Result<(), TransportError> {
-        self.map.clear();
+        *self = LocalFrontier { stride: self.stride, ..LocalFrontier::default() };
         Ok(())
     }
 }
@@ -246,6 +305,38 @@ mod tests {
         f.open(2).unwrap();
         assert!(f.probe_sorted(&[1], &[0]).is_err());
         assert!(f.insert_sorted(&[1], &[0, 1], &[0, 0]).is_err());
+    }
+
+    #[test]
+    fn local_frontier_grows_past_many_table_doublings() {
+        let mut f = LocalFrontier::new();
+        f.open(2).unwrap();
+        // Few distinct hashes, so probe runs are long and every growth
+        // re-places keys that share a home slot.
+        let keys: Vec<(u64, [u32; 2])> =
+            (0..5000u32).map(|i| (u64::from(i % 37) << 40, [i, i ^ 0xabcd])).collect();
+        for (batch, chunk) in keys.chunks(700).enumerate() {
+            let hashes: Vec<u64> = chunk.iter().map(|(h, _)| *h).collect();
+            let words: Vec<u32> = chunk.iter().flat_map(|(_, w)| *w).collect();
+            let first = 700 * batch as u32;
+            let indices: Vec<u32> = (first..first + chunk.len() as u32).collect();
+            f.insert_sorted(&hashes, &indices, &words).unwrap();
+        }
+        assert_eq!(f.len(), keys.len());
+        let hashes: Vec<u64> = keys.iter().map(|(h, _)| *h).collect();
+        let words: Vec<u32> = keys.iter().flat_map(|(_, w)| *w).collect();
+        let found = f.probe_sorted(&hashes, &words).unwrap();
+        assert!(found.iter().enumerate().all(|(i, slot)| *slot == Some(i as u32)));
+        assert_eq!(f.probe_sorted(&[0], &[1, 1]).unwrap(), vec![None]);
+    }
+
+    #[test]
+    fn a_key_inserted_twice_answers_with_its_first_index() {
+        let mut f = LocalFrontier::new();
+        f.open(1).unwrap();
+        f.insert_sorted(&[3], &[8], &[5]).unwrap();
+        f.insert_sorted(&[3], &[9], &[5]).unwrap();
+        assert_eq!(f.probe_sorted(&[3], &[5]).unwrap(), vec![Some(8)]);
     }
 
     #[test]

@@ -85,6 +85,12 @@ impl Json {
         out
     }
 
+    /// Append the compact rendering to `out` (what [`Json::render`]
+    /// returns), so a caller can frame a value without cloning it.
+    pub fn render_into(&self, out: &mut String) {
+        self.write(out);
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

@@ -30,6 +30,17 @@ pub mod metrics;
 pub mod spantree;
 pub mod trace;
 
+/// Serializes this crate's unit tests that install or emit into the
+/// process-global trace sink. The tests of one binary run on parallel
+/// threads, so the lock must be one for the whole crate: a lock per
+/// module would let a `trace` test write into a sink a `spantree` test
+/// had just installed.
+#[cfg(test)]
+pub(crate) fn trace_sink_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use flight::{ExecutionTrace, TraceError, TRACE_SCHEMA_VERSION};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{

@@ -346,12 +346,9 @@ mod tests {
     use crate::trace::{
         clear_trace_sink, install_trace_sink, push_context, span, RingSink, TraceContext,
     };
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::trace_sink_test_lock as test_guard;
 
     /// Emit a little two-level trace through the real span machinery
     /// and return (trace_id, jsonl).

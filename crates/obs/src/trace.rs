@@ -457,11 +457,9 @@ mod tests {
     use super::*;
 
     // The sink slot is process-global; tests that install one are
-    // serialized behind this lock so they do not observe each other.
-    fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // serialized behind the crate-wide lock so they do not observe
+    // each other (nor the `spantree` tests).
+    use crate::trace_sink_test_lock as test_guard;
 
     #[test]
     fn event_renders_as_one_json_line() {

@@ -1,13 +1,14 @@
 //! A minimal blocking client for the job server, used by the CLI's
 //! `submit`/`shutdown` subcommands and the loopback integration tests.
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use randsync_obs::Json;
 
-use crate::wire::Request;
+use crate::wire::{Frame, FrameBuffer, Request};
 
 /// A completed request: the final `ok`/`error` frame plus any
 /// `progress` frames that preceded it.
@@ -37,8 +38,11 @@ impl Reply {
 /// several may be pipelined before reading replies.
 #[derive(Debug)]
 pub struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    /// Splits the reply stream into frames.
+    frames: FrameBuffer,
+    /// Frames split off but not yet returned.
+    ready: VecDeque<Frame>,
     next_id: i128,
 }
 
@@ -76,8 +80,7 @@ impl Client {
         // Frames are small and latency-bound (frontier probe/insert
         // round trips especially); never trade latency for batching.
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Client { writer, reader: BufReader::new(stream), next_id: 0 })
+        Ok(Client { stream, frames: FrameBuffer::new(), ready: VecDeque::new(), next_id: 0 })
     }
 
     /// Change the idle deadline of an established connection.
@@ -86,7 +89,7 @@ impl Client {
     ///
     /// Propagates the socket option failure.
     pub fn set_idle_timeout(&mut self, idle: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(idle)
+        self.stream.set_read_timeout(idle)
     }
 
     /// Send one request frame without waiting for its reply; returns
@@ -96,10 +99,16 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send(&mut self, job: &str, params: &Json) -> std::io::Result<Json> {
-        self.next_id += 1;
-        let id = Json::Int(self.next_id);
+        let id = Json::Int(i128::from(self.fresh_id()));
         self.send_with_id(&id, job, params)?;
         Ok(id)
+    }
+
+    /// A request id not yet used on this connection, for JSON requests
+    /// and binary frames alike.
+    pub fn fresh_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id as u64
     }
 
     /// Send one request frame with a caller-chosen id. If the calling
@@ -112,28 +121,59 @@ impl Client {
     /// Propagates write failures.
     pub fn send_with_id(&mut self, id: &Json, job: &str, params: &Json) -> std::io::Result<()> {
         let trace = randsync_obs::current_context().map(|ctx| (ctx.trace_id, ctx.span_id));
-        let line = Request::render_traced(id, job, params, trace);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        let mut line = Request::render_traced(id, job, params, trace);
+        line.push('\n');
+        self.send_raw(line.as_bytes())
     }
 
-    /// Read the next frame from the server, whatever request it
-    /// belongs to.
+    /// Write raw frame bytes — one or more complete frames, such as the
+    /// binary frontier frames of [`crate::wire::encode_bin`].
     ///
     /// # Errors
     ///
-    /// I/O failure, closed connection, or an unparseable frame.
-    pub fn next_frame(&mut self) -> std::io::Result<Json> {
+    /// Propagates write failures.
+    pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.stream.write_all(bytes)
+    }
+
+    /// Read the next frame from the server, JSON or binary, whatever
+    /// request it belongs to.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure, closed connection, or a frame over
+    /// [`crate::wire::MAX_FRAME_BYTES`].
+    pub fn next_raw(&mut self) -> std::io::Result<Frame> {
+        let mut buf = [0u8; 16 * 1024];
         loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line)?;
+            if let Some(frame) = self.ready.pop_front() {
+                return Ok(frame);
+            }
+            let n = self.stream.read(&mut buf)?;
             if n == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
+            let frames = self.frames.push_bytes(&buf[..n]).map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+            })?;
+            self.ready.extend(frames);
+        }
+    }
+
+    /// Read the next JSON frame from the server, whatever request it
+    /// belongs to. Binary frames answer binary requests, which read
+    /// their replies with [`Client::next_raw`]; here they are skipped,
+    /// like frames for other request ids in [`Client::wait`].
+    ///
+    /// # Errors
+    ///
+    /// I/O failure, closed connection, or an unparseable frame.
+    pub fn next_frame(&mut self) -> std::io::Result<Json> {
+        loop {
+            let Frame::Json(line) = self.next_raw()? else { continue };
             if line.trim().is_empty() {
                 continue;
             }

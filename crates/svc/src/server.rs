@@ -10,8 +10,9 @@
 //!   the nonblocking listener *and every accepted connection* through
 //!   one `poll` wait per iteration. Each connection is a small state
 //!   machine (`Conn`): a [`FrameBuffer`] reassembling
-//!   partial frames on the read side, and an explicit write buffer
-//!   drained as the socket accepts bytes. Thousands of idle or slow
+//!   partial frames (JSON lines and binary frontier frames) on the read
+//!   side, and an explicit write buffer drained as the socket accepts
+//!   bytes. Thousands of idle or slow
 //!   connections cost table entries, not stacks. Control frames
 //!   (`metrics`, `shutdown`), cache hits, request validation, and the
 //!   `frontier_*` shard session frames are all answered inline on the
@@ -62,7 +63,8 @@ use crate::dist::FrontierSessions;
 use crate::job::{ExecContext, Job};
 use crate::poll::{self, PollEntry, SysFd};
 use crate::wire::{
-    code, error_frame, ok_frame, progress_frame, FrameBuffer, Request, WIRE_SCHEMA_VERSION,
+    code, decode_bin, error_frame, ok_frame, peek_bin_id, progress_frame, push_json_frame, Frame,
+    FrameBuffer, Request, WIRE_SCHEMA_VERSION,
 };
 
 /// How long the drain phase keeps trying to flush response bytes to
@@ -305,8 +307,7 @@ impl Conn {
 
     /// Queue one frame line for writing.
     fn push_frame(&mut self, frame: &str) {
-        self.wbuf.extend_from_slice(frame.as_bytes());
-        self.wbuf.push(b'\n');
+        push_json_frame(&mut self.wbuf, frame);
     }
 
     /// Write as much of the pending buffer as the socket accepts.
@@ -527,8 +528,9 @@ impl Server {
 
             // Reads: pull everything each readable socket has, then
             // handle the completed frames. Responses produced inline
-            // (control frames, cache hits, rejections, `queued`) are
-            // appended straight to the connection's write buffer.
+            // (control frames, frontier replies, cache hits,
+            // rejections, `queued`) are appended straight to the
+            // connection's write buffer.
             let ids: Vec<u64> = conns.keys().copied().collect();
             for cid in ids {
                 let Some(conn) = conns.get_mut(&cid) else { continue };
@@ -536,7 +538,7 @@ impl Server {
                     continue;
                 }
                 conn.readable = false;
-                let mut lines = Vec::new();
+                let mut frames = Vec::new();
                 let mut buf = [0u8; 16384];
                 loop {
                     match conn.stream.read(&mut buf) {
@@ -547,7 +549,7 @@ impl Server {
                             break;
                         }
                         Ok(n) => match conn.rbuf.push_bytes(&buf[..n]) {
-                            Ok(frames) => lines.extend(frames),
+                            Ok(done) => frames.extend(done),
                             Err(overflow) => {
                                 conn.push_frame(&error_frame(
                                     &Json::Null,
@@ -566,15 +568,16 @@ impl Server {
                         }
                     }
                 }
-                let mut out = Vec::new();
-                for line in &lines {
-                    if line.trim().is_empty() {
-                        continue;
+                for frame in &frames {
+                    match frame {
+                        Frame::Json(line) if line.trim().is_empty() => {}
+                        Frame::Json(line) => {
+                            handle_line(&self.state, cid, line, &mut conn.wbuf, &lm);
+                        }
+                        Frame::Binary(bytes) => {
+                            handle_binary(&self.state, bytes, &mut conn.wbuf, &lm);
+                        }
                     }
-                    handle_line(&self.state, cid, line, &mut out, &lm);
-                }
-                for frame in &out {
-                    conn.push_frame(frame);
                 }
             }
 
@@ -655,14 +658,15 @@ impl Server {
 }
 
 /// Dispatch one request line: control frames, frontier shard frames,
-/// and rejections are answered inline (frames pushed to `out`); jobs
-/// go to the queue. Decode and dispatch latency feed the
-/// `svc.loop.decode_us` / `svc.loop.dispatch_us` histograms.
+/// and rejections are answered inline (frames appended to `out`, the
+/// connection's write buffer); jobs go to the queue. Decode and
+/// dispatch latency feed the `svc.loop.decode_us` /
+/// `svc.loop.dispatch_us` histograms.
 fn handle_line(
     state: &Arc<ServerState>,
     conn_id: u64,
     line: &str,
-    out: &mut Vec<String>,
+    out: &mut Vec<u8>,
     lm: &LoopMetrics,
 ) {
     let instrumented = randsync_obs::metrics_enabled();
@@ -674,7 +678,7 @@ fn handle_line(
     let req = match parsed {
         Ok(req) => req,
         Err(message) => {
-            out.push(error_frame(&Json::Null, code::BAD_REQUEST, &message));
+            push_json_frame(out, &error_frame(&Json::Null, code::BAD_REQUEST, &message));
             return;
         }
     };
@@ -685,12 +689,37 @@ fn handle_line(
     }
 }
 
+/// Answer one binary frontier frame inline, like [`handle_line`]: the
+/// binary reply, or a JSON `bad_request` carrying the frame's request
+/// id when it does not decode.
+fn handle_binary(state: &Arc<ServerState>, bytes: &[u8], out: &mut Vec<u8>, lm: &LoopMetrics) {
+    let instrumented = randsync_obs::metrics_enabled();
+    let decode_started = if instrumented { Some(Instant::now()) } else { None };
+    let decoded = decode_bin(bytes);
+    if let Some(started) = decode_started {
+        lm.decode_us.observe(started.elapsed().as_micros() as u64);
+    }
+    let frame = match decoded {
+        Ok(frame) => frame,
+        Err(e) => {
+            let id = peek_bin_id(bytes).map_or(Json::Null, |id| Json::Int(i128::from(id)));
+            push_json_frame(out, &error_frame(&id, code::BAD_REQUEST, &e.to_string()));
+            return;
+        }
+    };
+    let dispatch_started = if instrumented { Some(Instant::now()) } else { None };
+    state.frontier.handle_bin(&frame, out);
+    if let Some(started) = dispatch_started {
+        lm.dispatch_us.observe(started.elapsed().as_micros() as u64);
+    }
+}
+
 /// The dispatch half of [`handle_line`], once the frame has decoded.
-fn dispatch_request(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &mut Vec<String>) {
+fn dispatch_request(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &mut Vec<u8>) {
     match req.job.as_str() {
         "metrics" => {
             let snapshot = randsync_obs::global_metrics().snapshot();
-            out.push(ok_frame(
+            let frame = ok_frame(
                 &req.id,
                 "metrics",
                 Json::Obj(vec![
@@ -700,7 +729,8 @@ fn dispatch_request(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &
                     ),
                     ("metrics".to_string(), snapshot.to_json()),
                 ]),
-            ));
+            );
+            push_json_frame(out, &frame);
         }
         "shutdown" => {
             state.shutting_down.store(true, Ordering::SeqCst);
@@ -708,59 +738,63 @@ fn dispatch_request(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &
             // the queue, then their recv disconnects.
             drop(state.queue_tx.lock().expect("queue sender poisoned").take());
             let draining = state.queue_depth.load(Ordering::SeqCst);
-            out.push(ok_frame(
+            let frame = ok_frame(
                 &req.id,
                 "shutdown",
                 Json::Obj(vec![("draining".to_string(), Json::Int(draining as i128))]),
-            ));
+            );
+            push_json_frame(out, &frame);
         }
         // Frontier shard frames are answered on the event loop, never
         // queued: a coordinator blocks its level merge on these, and
         // routing them through the worker pool could deadlock a
         // cluster whose pools are all busy coordinating.
-        name if name.starts_with("frontier_") => out.push(state.frontier.handle(&req)),
+        name if name.starts_with("frontier_") => {
+            push_json_frame(out, &state.frontier.handle(&req));
+        }
         _ => submit_job(state, conn_id, req, out),
     }
 }
 
 /// Validate, cache-check, and enqueue one job request.
-fn submit_job(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &mut Vec<String>) {
+fn submit_job(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &mut Vec<u8>) {
     let m = randsync_obs::global_metrics();
     m.counter("svc.jobs.submitted").inc();
     let job = match Job::parse(&req.job, &req.params) {
         Ok(job) => job,
         Err(e) => {
             m.counter("svc.jobs.error").inc();
-            out.push(error_frame(&req.id, e.code, &e.message));
+            push_json_frame(out, &error_frame(&req.id, e.code, &e.message));
             return;
         }
     };
     if job.cacheable() {
         if let Some(result) = state.cache.get(&job.cache_key()) {
             m.counter("svc.jobs.ok").inc();
-            out.push(ok_frame(&req.id, job.kind(), result));
+            push_json_frame(out, &ok_frame(&req.id, job.kind(), result));
             return;
         }
     }
     let tx = state.queue_tx.lock().expect("queue sender poisoned").clone();
     let Some(tx) = tx else {
         m.counter("svc.jobs.error").inc();
-        out.push(error_frame(&req.id, code::SHUTTING_DOWN, "server is draining"));
+        push_json_frame(out, &error_frame(&req.id, code::SHUTTING_DOWN, "server is draining"));
         return;
     };
     match tx.try_send(Ticket { id: req.id.clone(), job, conn: conn_id, trace: req.trace }) {
         Ok(()) => {
             state.queue_depth.fetch_add(1, Ordering::SeqCst);
             state.set_depth_gauge();
-            out.push(progress_frame(&req.id, "queued", &[]));
+            push_json_frame(out, &progress_frame(&req.id, "queued", &[]));
         }
         Err(TrySendError::Full(_)) => {
             m.counter("svc.jobs.rejected").inc();
-            out.push(error_frame(&req.id, code::OVERLOADED, "job queue is full; retry later"));
+            let message = "job queue is full; retry later";
+            push_json_frame(out, &error_frame(&req.id, code::OVERLOADED, message));
         }
         Err(TrySendError::Disconnected(_)) => {
             m.counter("svc.jobs.error").inc();
-            out.push(error_frame(&req.id, code::SHUTTING_DOWN, "server is draining"));
+            push_json_frame(out, &error_frame(&req.id, code::SHUTTING_DOWN, "server is draining"));
         }
     }
 }

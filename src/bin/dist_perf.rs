@@ -4,8 +4,8 @@
 //! coordinator server, once against a plain single-node server and
 //! once per ensemble size against a coordinator whose frontier dedup
 //! is sharded across N in-process worker servers (real sockets, the
-//! production JSONL wire protocol — only process isolation is
-//! elided). The harness asserts every distributed answer identical to
+//! production wire protocol: JSON session frames and binary
+//! probe/insert frames — only process isolation is elided). The harness asserts every distributed answer identical to
 //! the single-node answer — modulo `resident_arena_bytes`, which
 //! truthfully reports *local* residency and therefore shrinks when the
 //! seen-set lives on the workers — and writes per-ensemble wall time,
@@ -18,8 +18,8 @@
 //! is written by hand.
 //!
 //! On a single-core host the distributed rows are strictly overhead
-//! (every probe/insert batch is JSON over a socket instead of a local
-//! hash-map pass); the point of the numbers is the *cost* of the wire
+//! (every probe/insert batch is a frame over a socket instead of a
+//! local hash-map pass); the point of the numbers is the *cost* of the wire
 //! seam and the invariance of the results, not a speedup. The JSON
 //! records `host_parallelism` so readers can tell.
 //!

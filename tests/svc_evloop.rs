@@ -13,6 +13,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use randsync::obs::Json;
+use randsync::svc::wire::{
+    decode_bin, encode_bin, BinHeader, BinKind, Frame, FrameBuffer, ABSENT, WIRE_SCHEMA_VERSION,
+};
 use randsync::svc::{Client, Server, ServerConfig};
 
 /// Start an in-process server on an ephemeral loopback port.
@@ -181,6 +184,101 @@ fn partial_and_batched_frames_are_reassembled() {
     let reply = randsync::obs::parse_json(buf.trim()).expect("reply parses");
     assert_eq!(reply.get("id"), Some(&Json::Int(10)));
     assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
+
+    drop(stream);
+    let mut last = Client::connect(addr).expect("connect");
+    last.shutdown().expect("shutdown");
+    server.join().expect("server drains");
+}
+
+/// Read frames off a raw socket until `n` have arrived.
+fn read_frames(stream: &mut TcpStream, fb: &mut FrameBuffer, n: usize) -> Vec<Frame> {
+    let mut frames = Vec::new();
+    let mut buf = [0u8; 4096];
+    while frames.len() < n {
+        let got = stream.read(&mut buf).expect("reply bytes");
+        assert!(got > 0, "server closed with {} of {n} frames read", frames.len());
+        frames.extend(fb.push_bytes(&buf[..got]).expect("reply frames"));
+    }
+    frames
+}
+
+fn json_of(frame: &Frame) -> Json {
+    match frame {
+        Frame::Json(line) => randsync::obs::parse_json(line).expect("reply parses"),
+        Frame::Binary(bytes) => panic!("expected a JSON frame, got {} binary bytes", bytes.len()),
+    }
+}
+
+#[test]
+fn dribbled_binary_frames_interleave_with_json_frames() {
+    let (addr, server) = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut fb = FrameBuffer::new();
+
+    let open = format!(
+        "{{\"id\": 1, \"job\": \"frontier_open\", \
+         \"params\": {{\"stride\": 2, \"version\": {WIRE_SCHEMA_VERSION}}}}}\n"
+    );
+    stream.write_all(open.as_bytes()).expect("open");
+    let reply = json_of(&read_frames(&mut stream, &mut fb, 1)[0]);
+    let session = reply
+        .get("result")
+        .and_then(|r| r.get("session"))
+        .and_then(Json::as_u64)
+        .expect("session id");
+
+    // insert (binary) · metrics (JSON) · probe (binary) · close (JSON),
+    // one connection, written a byte at a time. Hash and word bytes
+    // include 0x0a, which must not be read as a line end.
+    let header = |kind, id, count| BinHeader { kind, id, session, trace: None, count, stride: 2 };
+    let mut wire = Vec::new();
+    encode_bin(
+        &mut wire,
+        &header(BinKind::Insert, 2, 3),
+        &[0x0a, 0x0a0a, 0x0a0a0a],
+        &[10, 11, 12],
+        &[0x0a, 1, 0x0a, 2, 0x0a, 3],
+    );
+    wire.extend_from_slice(b"{\"id\": 3, \"job\": \"metrics\", \"params\": null}\n");
+    encode_bin(
+        &mut wire,
+        &header(BinKind::Probe, 4, 4),
+        &[0x0a, 0x0a0a, 0x0a0a0a, 0x0a0a0a0a],
+        &[],
+        &[0x0a, 1, 0x0a, 2, 0x0a, 3, 0x0a, 4],
+    );
+    let close = format!(
+        "{{\"id\": 5, \"job\": \"frontier_close\", \"params\": {{\"session\": {session}}}}}\n"
+    );
+    wire.extend_from_slice(close.as_bytes());
+    for (i, b) in wire.iter().enumerate() {
+        stream.write_all(&[*b]).expect("dribble");
+        if i == 20 {
+            thread::sleep(Duration::from_millis(50)); // a read inside the first header
+        }
+    }
+
+    let frames = read_frames(&mut stream, &mut fb, 4);
+    let Frame::Binary(insert) = &frames[0] else { panic!("insert reply: {:?}", frames[0]) };
+    let insert = decode_bin(insert).expect("insert reply decodes");
+    let h = insert.header;
+    assert_eq!((h.kind, h.id, h.count), (BinKind::InsertReply, 2, 3));
+    let metrics = json_of(&frames[1]);
+    assert_eq!(metrics.get("id"), Some(&Json::Int(3)));
+    assert_eq!(metrics.get("status").and_then(Json::as_str), Some("ok"));
+    let Frame::Binary(probe) = &frames[2] else { panic!("probe reply: {:?}", frames[2]) };
+    let probe = decode_bin(probe).expect("probe reply decodes");
+    assert_eq!((probe.header.kind, probe.header.id), (BinKind::ProbeReply, 4));
+    assert_eq!(probe.indices, vec![10, 11, 12, ABSENT]);
+    let closed = json_of(&frames[3]);
+    assert_eq!(closed.get("id"), Some(&Json::Int(5)));
+    assert_eq!(closed.get("status").and_then(Json::as_str), Some("ok"));
 
     drop(stream);
     let mut last = Client::connect(addr).expect("connect");
